@@ -5,6 +5,8 @@ a memoized recursion walks qubit levels from the most significant down,
 choosing a (row bit, col bit) pair per level.  Control qubits contribute
 Kronecker-delta structure; once a control bit is 0 the remaining targets
 collapse to identity — exactly the semantics of Equation 3 in the paper.
+Below the gate's lowest qubit the recursion stops at the manager's cached
+identity chain, the node it would otherwise rebuild level by level.
 """
 
 from __future__ import annotations
@@ -25,13 +27,22 @@ def gate_matrix_dd(mgr: DDManager, gate: Gate) -> Edge:
     base = gate.matrix()
     target_pos = {q: i for i, q in enumerate(gate.qubits)}
     controls = frozenset(gate.controls)
+    lowest = min(gate.all_qubits)
     memo: dict[tuple[int, int, int, bool], Edge] = {}
 
     def rec(level: int, grow: int, gcol: int, ctrl_ok: bool) -> Edge:
-        if level < 0:
-            if ctrl_ok:
-                return mgr.terminal(base[grow, gcol])
-            return mgr.terminal(1.0 if grow == gcol else 0.0)
+        if level < lowest:
+            # no target or control from here down: the sub-matrix is the
+            # identity times the selected entry, i.e. the manager's cached
+            # identity chain carrying that entry as its weight (set, not
+            # multiplied in, so a negative zero survives as the full
+            # recursion leaves it)
+            entry = mgr.terminal(
+                base[grow, gcol] if ctrl_ok else float(grow == gcol)
+            )
+            if entry.weight == 0:
+                return entry
+            return Edge(mgr.identity(level).node, entry.weight)
         key = (level, grow, gcol, ctrl_ok)
         hit = memo.get(key)
         if hit is not None:

@@ -12,8 +12,7 @@ from .convert import (
     ConversionResult,
     DEFAULT_TAU,
     ell_from_dd,
-    ell_from_dd_cpu,
-    ell_from_flat_gpu,
+    ell_from_flat,
 )
 from .format import ELLMatrix, ell_from_dense
 from .persist import (
@@ -49,9 +48,8 @@ __all__ = [
     "CSRMatrix",
     "DEFAULT_TAU",
     "ell_from_dd",
-    "ell_from_dd_cpu",
     "ell_from_dense",
-    "ell_from_flat_gpu",
+    "ell_from_flat",
     "ell_spmm",
     "ell_spmm_loop",
     "EllBundle",

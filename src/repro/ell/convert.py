@@ -1,22 +1,24 @@
 """DD-to-ELL conversion (Section 3.2 of the paper).
 
-Three converters are provided:
+The paper converts on the GPU with Algorithm 1 (one thread block per ELL
+row walking the flat DD of Figure 6 depth-first) and falls back to a CPU
+converter when the DD has more than ``tau`` edges, where heavy branching
+makes the per-row walks diverge.  :func:`ell_from_dd` keeps that *hybrid
+route decision*: it reports the route in :class:`ConversionResult`, and the
+virtual GPU charges the modeled GPU or CPU conversion time by route.
 
-* :func:`ell_from_dd_cpu` — the CPU algorithm: a memoized bottom-up assembly
-  over DD nodes.  Each node's sub-matrix becomes (value, column) arrays; a
-  parent concatenates its children's rows with scaled weights and shifted
-  columns.  Complexity is linear in the output size.
-* :func:`ell_from_flat_gpu` — the GPU kernel of Algorithm 1, executed
-  faithfully: one *block* per ELL row running an iterative DFS with an
-  explicit edge stack and ``left_right`` / ``up_down`` direction arrays over
-  the flat edge/node arrays of :class:`~repro.dd.flat.FlatDD`.
-* :func:`ell_from_dd` — the *hybrid* converter: CPU when the DD has more
-  than ``tau`` edges (heavy branching hurts the GPU), GPU otherwise.
+The host builds every matrix with one assembler, :func:`ell_from_flat`,
+whatever the route.  It expands all non-zero paths of the flat DD top-down,
+one level at a time, with array gathers, then multiplies each path's edge
+weights bottom-up, ``((1*w_leaf)*w_1)*...*w_root``, the order of a memoized
+per-node assembly.
 
-The faithful per-row kernel is exponential work on a host CPU, so for large
-matrices the GPU path computes the rows with the (bit-identical) CPU
-algorithm while the virtual-GPU cost model still charges GPU conversion
-time; ``execute="faithful"`` forces the literal kernel loop.
+Numeric contract: every row lists its non-zeros by ascending column, then
+pads with value 0 at column 0, so the columns equal Algorithm 1's exactly.
+The values are the bottom-up products above.  Algorithm 1 keeps a running
+product instead (it multiplies on descent and divides on backtrack), so its
+values differ from these by rounding only: within 1e-15 absolute for
+unitary gates.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dd.export import count_edges
 from ..dd.flat import FlatDD, flatten_matrix_dd
 from ..dd.node import Edge
 from ..errors import ConversionError
-from ..kernels.engine import ArrayEngine, get_engine
 from ..obs import get_metrics, get_tracer
 from .format import ELLMatrix
 
@@ -40,266 +40,58 @@ from .format import ELLMatrix
 #: per-entry cost).
 DEFAULT_TAU = 4500
 
-#: above this many rows the faithful per-row kernel loop is replaced by the
-#: equivalent vectorized computation (results are identical)
-_FAITHFUL_ROW_LIMIT = 1 << 12
 
+def ell_from_flat(flat: FlatDD, max_nzr: int | None = None) -> ELLMatrix:
+    """Assemble the ELL matrix of a flat DD, one path per non-zero entry.
 
-# ---------------------------------------------------------------------------
-# CPU-based conversion: memoized bottom-up assembly
-# ---------------------------------------------------------------------------
-
-def _compress(values, cols, xp=np):
-    """Push non-zeros left in every row and trim trailing all-zero columns."""
-    if values.shape[1] == 0:
-        return values, cols
-    zero = values == 0
-    order = xp.argsort(zero, axis=1, kind="stable")
-    values = xp.take_along_axis(values, order, axis=1)
-    cols = xp.take_along_axis(cols, order, axis=1)
-    width = int((~zero).sum(axis=1).max())
-    cols = xp.where(values == 0, 0, cols)  # canonical padding: column 0
-    return values[:, :width], cols[:, :width]
-
-
-def _assemble_ell(
-    root_node,
-    root_weight: complex,
-    node_key,
-    node_level,
-    node_children,
-    xp=np,
-):
-    """Memoized bottom-up (value, column) assembly shared by both the CPU
-    converter and the vectorized GPU stand-in.
-
-    The DD is traversed through three callbacks so the same recursion works
-    over :class:`~repro.dd.node.Edge` objects and over the flat arrays of a
-    :class:`~repro.dd.flat.FlatDD`:
-
-    * ``node_key(node)`` — hashable memo key;
-    * ``node_level(node)`` — qubit level of the node;
-    * ``node_children(node)`` — sequence of 4 ``(child_node | None, weight)``
-      pairs in ``row_bit * 2 + col_bit`` order, where ``None`` marks the
-      constant-one terminal and ``weight == 0`` a skipped zero edge.
-    """
-    memo: dict = {}
-
-    def rec(node):
-        if node is None:
-            return (
-                xp.ones((1, 1), dtype=xp.complex128),
-                xp.zeros((1, 1), dtype=xp.int64),
-            )
-        key = node_key(node)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        half = 1 << node_level(node)
-        children = node_children(node)
-        halves = []
-        for row_bit in (0, 1):
-            parts_v, parts_c = [], []
-            for col_bit in (0, 1):
-                child, weight = children[row_bit * 2 + col_bit]
-                if weight == 0:
-                    continue
-                cv, cc = rec(child)
-                parts_v.append(cv * weight)
-                parts_c.append(cc + col_bit * half)
-            if not parts_v:
-                parts_v = [xp.zeros((half, 0), dtype=xp.complex128)]
-                parts_c = [xp.zeros((half, 0), dtype=xp.int64)]
-            halves.append(
-                (xp.concatenate(parts_v, axis=1), xp.concatenate(parts_c, axis=1))
-            )
-        width = max(halves[0][0].shape[1], halves[1][0].shape[1])
-        values = xp.zeros((2 * half, width), dtype=xp.complex128)
-        cols = xp.zeros((2 * half, width), dtype=xp.int64)
-        for i, (hv, hc) in enumerate(halves):
-            values[i * half : (i + 1) * half, : hv.shape[1]] = hv
-            cols[i * half : (i + 1) * half, : hc.shape[1]] = hc
-        hit = _compress(values, cols, xp=xp)
-        memo[key] = hit
-        return hit
-
-    values, cols = rec(root_node)
-    return values * root_weight, cols
-
-
-def ell_from_dd_cpu(
-    edge: Edge,
-    num_qubits: int,
-    engine: "str | ArrayEngine | None" = None,
-) -> ELLMatrix:
-    """CPU-based DD-to-ELL conversion (memoized recursion over nodes).
-
-    Assembly arrays are allocated through ``engine`` (numpy by default —
-    bit-identical to the historical converter); the resulting
-    :class:`ELLMatrix` is always materialized in host memory, since ELL
-    is the host interchange format that :class:`~repro.ell.spmm.GatherPlan`
-    re-uploads per engine.
-    """
-    if edge.weight == 0:
-        raise ConversionError("cannot convert the zero matrix to ELL")
-    eng = get_engine(engine)
-
-    def children(node):
-        return [
-            (child.node, child.weight) for child in node.children
-        ]
-
-    values, cols = _assemble_ell(
-        edge.node,
-        edge.weight,
-        node_key=lambda node: node.nid,
-        node_level=lambda node: node.level,
-        node_children=children,
-        xp=eng.xp,
-    )
-    if values.shape[1] == 0:
-        raise ConversionError("DD represented the zero matrix")
-    return ELLMatrix(
-        num_qubits,
-        np.ascontiguousarray(eng.to_host(values)),
-        np.ascontiguousarray(eng.to_host(cols)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# GPU-based conversion: Algorithm 1, one block per row
-# ---------------------------------------------------------------------------
-
-def _kernel_block(
-    flat: FlatDD,
-    bid: int,
-    max_nzr: int,
-    values: np.ndarray,
-    cols: np.ndarray,
-) -> None:
-    """Algorithm 1 for one block (= one ELL row), line-for-line.
-
-    ``up_down[d]`` holds the row direction for stack depth ``d`` (the paper
-    stores it per qubit level; with full chains stack depth == n-1-level).
+    ``max_nzr`` pads the width to the declared maximum non-zeros per row;
+    without it the width is the largest row's non-zero count.
     """
     n = flat.num_qubits
-    edge_stack = [0] * (n + 1)
-    left_right = [0] * (n + 1)
-    up_down = [(bid >> (n - 1 - d)) & 1 for d in range(n)] + [0]
-    stack_ptr = 0
-    edge_stack[0] = flat.root()
-    val = 1.0 + 0j
-    col = 0
-    idx = 0
-    while stack_ptr >= 0:
-        edge_ptr = edge_stack[stack_ptr]
-        if edge_ptr == -1:  # constant-zero edge
-            stack_ptr -= 1
-            continue
-        node_ptr = flat.edge_node[edge_ptr]
-        if node_ptr == -1:  # constant-one terminal: emit an entry
-            if idx >= max_nzr:
-                raise ConversionError(
-                    f"row {bid} exceeds the declared max NZR {max_nzr}"
-                )
-            cols[bid, idx] = col
-            values[bid, idx] = val * flat.edge_weight[edge_ptr]
-            stack_ptr -= 1
-            idx += 1
-            continue
-        if left_right[stack_ptr] == 2:  # both columns explored: backtrack
-            left_right[stack_ptr] = 0
-            stack_ptr -= 1
-            val = val / flat.edge_weight[edge_ptr]
-            col = col - (1 << flat.node_level[node_ptr])
-        else:
-            child_idx = 2 * up_down[stack_ptr] + left_right[stack_ptr]
-            left_right[stack_ptr] += 1
-            if left_right[stack_ptr] == 1:
-                val = val * flat.edge_weight[edge_ptr]
-            col = col + (left_right[stack_ptr] - 1) * (
-                1 << flat.node_level[node_ptr]
+    # top-down: per level, the edges the live paths entered by and each
+    # path's parent index one level up; slots are row_bit * 2 + col_bit
+    trail: list[tuple[np.ndarray, np.ndarray | None]] = []
+    edges = np.zeros(1, dtype=np.int64)  # the root edge
+    parent = None
+    rows = cols = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        trail.append((edges, parent))
+        children = flat.node_edges[flat.edge_node[edges]]
+        parent, slot = np.nonzero(children >= 0)
+        edges = children[parent, slot]
+        rows = (rows[parent] << 1) | (slot >> 1)
+        cols = (cols[parent] << 1) | (slot & 1)
+    # bottom-up: the leaf edge's weight times each ancestor's, root last
+    values = flat.edge_weight[edges]
+    for level_edges, level_parent in reversed(trail):
+        values = values * flat.edge_weight[level_edges[parent]]
+        if level_parent is not None:
+            parent = level_parent[parent]
+
+    keep = values != 0
+    if not keep.all():
+        values, rows, cols = values[keep], rows[keep], cols[keep]
+    # paths run in (row_bit, col_bit) order from the top level down, so a
+    # stable sort by row leaves each row's columns ascending
+    order = np.argsort(rows, kind="stable")
+    values, rows, cols = values[order], rows[order], cols[order]
+    counts = np.bincount(rows, minlength=1 << n)
+    width = int(counts.max())
+    if width == 0:
+        raise ConversionError("DD represented the zero matrix")
+    if max_nzr is not None:
+        if width > max_nzr:
+            raise ConversionError(
+                f"ELL width {width} exceeds declared max NZR {max_nzr}"
             )
-            edge_stack[stack_ptr + 1] = flat.node_edges[node_ptr, child_idx]
-            stack_ptr += 1
+        width = max_nzr
+    place = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    ell_values = np.zeros((1 << n, width), dtype=np.complex128)
+    ell_cols = np.zeros((1 << n, width), dtype=np.int64)
+    ell_values[rows, place] = values
+    ell_cols[rows, place] = cols
+    return ELLMatrix(n, ell_values, ell_cols)
 
-
-def ell_from_flat_gpu(
-    flat: FlatDD,
-    max_nzr: int,
-    execute: str = "auto",
-    engine: "str | ArrayEngine | None" = None,
-) -> ELLMatrix:
-    """GPU-kernel DD-to-ELL conversion over the flat edge/node arrays.
-
-    ``execute='faithful'`` runs the literal Algorithm-1 loop for every row;
-    ``'auto'`` switches to the equivalent vectorized assembly above
-    ``_FAITHFUL_ROW_LIMIT`` rows (the virtual GPU charges modeled kernel
-    time either way).
-    """
-    rows = 1 << flat.num_qubits
-    if execute not in ("auto", "faithful", "fast"):
-        raise ConversionError(f"unknown execute mode {execute!r}")
-    if execute == "fast" or (execute == "auto" and rows > _FAITHFUL_ROW_LIMIT):
-        ell = _ell_from_flat_fast(flat, engine=engine)
-        return _pad_to(ell, max_nzr)
-    values = np.zeros((rows, max_nzr), dtype=np.complex128)
-    cols = np.zeros((rows, max_nzr), dtype=np.int64)
-    for bid in range(rows):
-        _kernel_block(flat, bid, max_nzr, values, cols)
-    return ELLMatrix(flat.num_qubits, values, cols)
-
-
-def _ell_from_flat_fast(
-    flat: FlatDD, engine: "str | ArrayEngine | None" = None
-) -> ELLMatrix:
-    """Vectorized per-node assembly over the flat arrays (same math as the
-    kernel; used as its fast stand-in for large row counts)."""
-    eng = get_engine(engine)
-
-    def children(node: int):
-        out = []
-        for slot in range(4):
-            eidx = int(flat.node_edges[node, slot])
-            if eidx == -1:
-                out.append((None, 0))
-                continue
-            child = int(flat.edge_node[eidx])
-            out.append((child if child != -1 else None, flat.edge_weight[eidx]))
-        return out
-
-    root = flat.root()
-    root_node = int(flat.edge_node[root])
-    values, cols = _assemble_ell(
-        root_node if root_node != -1 else None,
-        flat.edge_weight[root],
-        node_key=lambda node: node,
-        node_level=lambda node: int(flat.node_level[node]),
-        node_children=children,
-        xp=eng.xp,
-    )
-    return ELLMatrix(
-        flat.num_qubits, eng.to_host(values), eng.to_host(cols)
-    )
-
-
-def _pad_to(ell: ELLMatrix, width: int) -> ELLMatrix:
-    if ell.width == width:
-        return ell
-    if ell.width > width:
-        raise ConversionError(
-            f"ELL width {ell.width} exceeds declared max NZR {width}"
-        )
-    values = np.zeros((ell.num_rows, width), dtype=np.complex128)
-    cols = np.zeros((ell.num_rows, width), dtype=np.int64)
-    values[:, : ell.width] = ell.values
-    cols[:, : ell.width] = ell.cols
-    return ELLMatrix(ell.num_qubits, values, cols)
-
-
-# ---------------------------------------------------------------------------
-# Hybrid conversion
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConversionResult:
@@ -317,29 +109,23 @@ def ell_from_dd(
     max_nzr: int | None = None,
     tau: int = DEFAULT_TAU,
     force: str | None = None,
-    engine: "str | ArrayEngine | None" = None,
 ) -> ConversionResult:
-    """Hybrid DD-to-ELL conversion (Section 3.2): GPU when the DD has at
-    most ``tau`` edges, CPU otherwise.  ``force`` pins the route."""
-    edges = count_edges(edge)
-    route = force or ("cpu" if edges > tau else "gpu")
+    """Hybrid DD-to-ELL conversion (Section 3.2): the GPU route when the DD
+    has at most ``tau`` edges, the CPU route otherwise.  ``force`` pins the
+    route.  Both routes produce the same matrix; they differ in the modeled
+    conversion time the virtual GPU charges."""
+    if edge.weight == 0:
+        raise ConversionError("cannot convert the zero matrix to ELL")
+    if force not in (None, "cpu", "gpu"):
+        raise ConversionError(f"unknown conversion route {force!r}")
     with get_tracer().span(
-        "convert.dd_to_ell", dd_edges=edges, route=route, tau=tau,
-        forced=force is not None,
+        "convert.dd_to_ell", tau=tau, forced=force is not None
     ) as span:
-        if route == "cpu":
-            ell = ell_from_dd_cpu(edge, num_qubits, engine=engine)
-            if max_nzr is not None:
-                ell = _pad_to(ell, max_nzr)
-        elif route == "gpu":
-            flat = flatten_matrix_dd(edge, num_qubits)
-            if max_nzr is None:
-                ell = _ell_from_flat_fast(flat, engine=engine)
-            else:
-                ell = ell_from_flat_gpu(flat, max_nzr, engine=engine)
-        else:
-            raise ConversionError(f"unknown conversion route {route!r}")
-        span.set(ell_width=ell.width)
+        flat = flatten_matrix_dd(edge, num_qubits)
+        edges = flat.num_edges
+        route = force or ("cpu" if edges > tau else "gpu")
+        ell = ell_from_flat(flat, max_nzr)
+        span.set(dd_edges=edges, route=route, ell_width=ell.width)
     _record_conversion(ell, edges, route)
     return ConversionResult(ell=ell, route=route, num_edges=edges, tau=tau)
 

@@ -27,7 +27,9 @@ from .obs.tracer import Tracer
 class StageTimer:
     """Accumulates wall seconds per named pipeline stage.
 
-    Stages may be entered repeatedly; durations accumulate.  The timer is
+    Stages may be entered repeatedly; durations accumulate.  A stage
+    entered while another is open is charged to itself only: the enclosing
+    stage books its own time minus the nested stage's.  The timer is
     deliberately tiny — one ``perf_counter`` pair plus one (usually no-op)
     tracer span per stage entry — so it can stay on permanently in every
     simulator run.  ``stages`` pre-registers keys at 0.0 so the breakdown
@@ -39,6 +41,8 @@ class StageTimer:
     ) -> None:
         self.wall: dict[str, float] = {stage: 0.0 for stage in stages}
         self._tracer = tracer
+        #: per open stage, the seconds its nested stages have booked
+        self._nested: list[float] = []
 
     @contextmanager
     def time(self, stage: str, **attrs):
@@ -49,12 +53,17 @@ class StageTimer:
         ``with timer.time("fusion") as sp: sp.set(fused_gates=8)``.
         """
         tracer = self._tracer if self._tracer is not None else get_tracer()
+        self._nested.append(0.0)
         t0 = time.perf_counter()
         try:
             with tracer.span(stage, category="stage", **attrs) as span:
                 yield span
         finally:
-            self.record(stage, time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            nested = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += elapsed
+            self.record(stage, elapsed - nested)
 
     def record(self, stage: str, seconds: float) -> None:
         """Add ``seconds`` of wall time to ``stage``."""

@@ -94,7 +94,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             execute=execute,
         ):
             with timer.time("fusion") as span:
-                prepared, plan_source = self._prepare(circuit, execute)
+                prepared, plan_source = self._prepare(circuit, execute, timer)
                 span.set(
                     plan_source=plan_source,
                     fused_gates=len(prepared["plan"].gates),
@@ -106,9 +106,12 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             )
             t_conversion = sum(info["time"] for info in conv_infos)
             with timer.time("convert"):
-                fresh = prepared["ells"] is None
+                # a fresh build with execute=True converted under the lock
+                converted = execute and (
+                    plan_source == "built" or prepared["ells"] is None
+                )
                 ells = self._materialize_ells(prepared) if execute else None
-                if not (execute and fresh):
+                if not converted:
                     self._trace_conv_infos(conv_infos)
 
             with timer.time("io"):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import Circuit, gate_unitary
 from repro.circuit.gates import Gate
+from repro.circuit.generators import make_circuit
 from repro.dd import (
     DDManager,
     basis_vector_dd,
@@ -15,6 +16,7 @@ from repro.dd import (
     vector_dd_from_dense,
     vector_to_dense,
 )
+from repro.dd.node import ZERO_EDGE
 from repro.errors import DDError
 
 GATES = [
@@ -101,3 +103,60 @@ def test_gate_dd_node_sharing(mgr4):
     # shared, so the DD stays linear in n
     edge = gate_matrix_dd(mgr4, Gate.make("h", [2]))
     assert count_nodes(edge) <= 8
+
+
+def _gate_dd_full_recursion(mgr, gate):
+    """Reference gate DD: recurse through every level down to the terminals."""
+    base = gate.matrix()
+    target_pos = {q: i for i, q in enumerate(gate.qubits)}
+    controls = frozenset(gate.controls)
+
+    def rec(level, grow, gcol, ctrl_ok):
+        if level < 0:
+            if ctrl_ok:
+                return mgr.terminal(base[grow, gcol])
+            return mgr.terminal(1.0 if grow == gcol else 0.0)
+        children = []
+        for r in (0, 1):
+            for c in (0, 1):
+                if level in target_pos:
+                    i = target_pos[level]
+                    children.append(
+                        rec(level - 1, grow | (r << i), gcol | (c << i), ctrl_ok)
+                    )
+                elif level in controls:
+                    if r != c:
+                        children.append(ZERO_EDGE)
+                    else:
+                        children.append(rec(level - 1, grow, gcol, ctrl_ok and r == 1))
+                else:
+                    children.append(
+                        rec(level - 1, grow, gcol, ctrl_ok) if r == c else ZERO_EDGE
+                    )
+        return mgr.make_mnode(level, children)
+
+    return rec(mgr.num_qubits - 1, 0, 0, True)
+
+
+def test_gate_dd_identity_shortcut_matches_full_recursion():
+    """Stopping at the cached identity below a gate's lowest qubit returns
+    the very node and weight the level-by-level recursion builds."""
+    n = 6
+    mgr = DDManager(n)
+    gates = [
+        gate
+        for family in ("qnn", "supremacy", "vqe", "qft", "graphstate")
+        for gate in make_circuit(family, n, seed=3).gates
+    ]
+    # rz(0) has an entry with a negative-zero imaginary part, which the
+    # shortcut must carry through unchanged
+    gates += GATES + [
+        Gate.make("ccx", [5, 4, 1]),
+        Gate.make("cx", [2, 0]),
+        Gate.make("rz", [3], [0.0]),
+    ]
+    for gate in gates:
+        got = gate_matrix_dd(mgr, gate)
+        want = _gate_dd_full_recursion(mgr, gate)
+        assert got.node is want.node, gate
+        assert repr(got.weight) == repr(want.weight), gate

@@ -1,29 +1,44 @@
-"""Tests for the ELL format, the three converters, and the spMM kernel."""
+"""Tests for the ELL format, DD-to-ELL conversion, and the spMM kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.circuit import Circuit, random_batch
 from repro.circuit.gates import Gate
-from repro.circuit.generators import random_circuit
+from repro.circuit.generators import make_circuit, random_circuit
 from repro.dd import (
     DDManager,
     circuit_matrix_dd,
+    count_edges,
     flatten_matrix_dd,
     gate_matrix_dd,
     matrix_to_dense,
     max_nzr,
 )
 from repro.ell import (
+    DEFAULT_TAU,
     ELLMatrix,
     ell_from_dd,
-    ell_from_dd_cpu,
     ell_from_dense,
-    ell_from_flat_gpu,
+    ell_from_flat,
     ell_spmm,
     spmm_bytes,
     spmm_macs,
 )
 from repro.errors import ConversionError, SimulationError
+from repro.fusion import bqcs_fusion
+from repro.sim.statevector import simulate_batch
+
+from .ell_oracles import kernel_ell, memoized_ell
+
+#: largest |assembler - Algorithm 1| value difference accepted (a few ULP
+#: of a unit-modulus entry; measured <= 6.4e-16 up to n = 6)
+KERNEL_ATOL = 1e-15
+#: largest |assembler - memoized assembly| difference accepted (measured
+#: 0 up to n = 6 and <= 2.6e-16 at n = 12)
+MEMOIZED_ATOL = 5e-16
 
 
 @pytest.fixture
@@ -56,27 +71,79 @@ def test_ell_validation():
 
 
 def test_cpu_conversion_matches_dense(circuit_dd, mgr4):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4, force="cpu").ell
     assert np.allclose(ell.to_dense(), matrix_to_dense(circuit_dd, 4), atol=1e-10)
     assert ell.width == max_nzr(mgr4, circuit_dd)
 
 
-def test_gpu_kernel_matches_cpu_bit_for_bit(circuit_dd, mgr4):
-    width = max_nzr(mgr4, circuit_dd)
-    cpu = ell_from_dd_cpu(circuit_dd, 4)
-    flat = flatten_matrix_dd(circuit_dd, 4)
-    gpu = ell_from_flat_gpu(flat, width, execute="faithful")
-    assert np.array_equal(gpu.cols, cpu.cols)
-    assert np.allclose(gpu.values, cpu.values, atol=1e-12)
+def _fused_gates(family, n, seed=0):
+    mgr = DDManager(n)
+    return bqcs_fusion(mgr, make_circuit(family, n, seed=seed)).gates
 
 
-def test_gpu_fast_path_matches_faithful(circuit_dd, mgr4):
-    width = max_nzr(mgr4, circuit_dd)
-    flat = flatten_matrix_dd(circuit_dd, 4)
-    faithful = ell_from_flat_gpu(flat, width, execute="faithful")
-    fast = ell_from_flat_gpu(flat, width, execute="fast")
-    assert np.array_equal(fast.cols, faithful.cols)
-    assert np.allclose(fast.values, faithful.values, atol=1e-12)
+@pytest.mark.parametrize("family", ["qnn", "supremacy", "vqe", "qft", "graphstate"])
+def test_assembler_matches_kernel_oracle(family):
+    """Same columns as Algorithm 1; values within KERNEL_ATOL, since the
+    kernel divides its running product on backtrack."""
+    for fg in _fused_gates(family, 5):
+        flat = flatten_matrix_dd(fg.dd, 5)
+        got = ell_from_flat(flat, fg.cost)
+        want = kernel_ell(flat, fg.cost)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.max(np.abs(got.values - want.values)) <= KERNEL_ATOL
+
+
+@pytest.mark.parametrize(
+    "family, n", [("qnn", 5), ("supremacy", 6), ("vqe", 6), ("supremacy", 12)]
+)
+def test_assembler_matches_memoized_oracle(family, n):
+    """Same columns and the same multiplication order as a memoized
+    per-node assembly; values agree to MEMOIZED_ATOL (numpy may round an
+    array-times-scalar product differently from an elementwise one)."""
+    for fg in _fused_gates(family, n)[:6]:
+        got = ell_from_dd(fg.dd, n).ell
+        want = memoized_ell(fg.dd, n)
+        assert got.width == want.width
+        assert np.array_equal(got.cols, want.cols)
+        assert np.max(np.abs(got.values - want.values)) <= MEMOIZED_ATOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    depth=st.integers(1, 14),
+    seed=st.integers(0, 2**16),
+)
+def test_assembler_matches_dense_on_random_circuits(n, depth, seed):
+    edge = circuit_matrix_dd(DDManager(n), random_circuit(n, depth, seed=seed).gates)
+    ell = ell_from_flat(flatten_matrix_dd(edge, n))
+    assert np.allclose(ell.to_dense(), matrix_to_dense(edge, n), atol=1e-10)
+    # rows list their non-zeros by ascending column, padding at column 0
+    live = ell.values != 0
+    assert not np.any(ell.cols[~live])
+    assert all(np.all(np.diff(c[m]) > 0) for c, m in zip(ell.cols, live))
+
+
+def test_heavy_dd_takes_the_cpu_route_with_padding():
+    """A diagonal of 2^11 distinct phases at n=12 has more than tau edges."""
+    n = 12
+    circuit = Circuit(n)
+    rng = np.random.default_rng(5)
+    for q in range(1, n):
+        circuit.cp(float(rng.uniform(0, 6)), q, 0)
+    mgr = DDManager(n)
+    edge = circuit_matrix_dd(mgr, circuit.gates)
+    result = ell_from_dd(edge, n, max_nzr=3)
+    assert result.route == "cpu" and result.num_edges > DEFAULT_TAU
+    assert result.num_edges == count_edges(edge)
+    ell = result.ell
+    assert ell.width == 3
+    assert np.array_equal(ell.cols[:, 0], np.arange(1 << n))
+    assert not np.any(ell.values[:, 1:]) and not np.any(ell.cols[:, 1:])
+    batch = random_batch(n, 3, rng=2)
+    assert np.allclose(
+        ell_spmm(ell, batch.states), simulate_batch(circuit, batch), atol=1e-10
+    )
 
 
 @pytest.mark.parametrize(
@@ -96,10 +163,13 @@ def test_per_gate_conversion_all_routes(gate, mgr4):
     edge = gate_matrix_dd(mgr4, gate)
     dense = matrix_to_dense(edge, 4)
     width = max_nzr(mgr4, edge)
-    cpu = ell_from_dd_cpu(edge, 4)
-    gpu = ell_from_flat_gpu(flatten_matrix_dd(edge, 4), width, execute="faithful")
+    cpu = ell_from_dd(edge, 4, max_nzr=width, force="cpu").ell
+    gpu = ell_from_dd(edge, 4, max_nzr=width, force="gpu").ell
+    kernel = kernel_ell(flatten_matrix_dd(edge, 4), width)
+    assert np.array_equal(cpu.values, gpu.values)
+    assert np.array_equal(cpu.cols, gpu.cols)
     assert np.allclose(cpu.to_dense(), dense, atol=1e-12)
-    assert np.allclose(gpu.to_dense(), dense, atol=1e-12)
+    assert np.allclose(kernel.to_dense(), dense, atol=1e-12)
 
 
 def test_hybrid_routing(circuit_dd):
@@ -137,14 +207,14 @@ def test_row_nnz_excludes_padding(mgr4):
 
 
 def test_spmm_matches_dense(circuit_dd, rng):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4).ell
     states = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
     out = ell_spmm(ell, states)
     assert np.allclose(out, matrix_to_dense(circuit_dd, 4) @ states, atol=1e-10)
 
 
 def test_spmm_with_preallocated_output(circuit_dd, rng):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4).ell
     states = rng.standard_normal((16, 3)) + 0j
     out = np.empty_like(states)
     returned = ell_spmm(ell, states, out=out)
@@ -153,19 +223,19 @@ def test_spmm_with_preallocated_output(circuit_dd, rng):
 
 
 def test_spmm_rejects_in_place(circuit_dd, rng):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4).ell
     states = rng.standard_normal((16, 2)) + 0j
     with pytest.raises(SimulationError, match="in place"):
         ell_spmm(ell, states, out=states)
 
 
 def test_spmm_rejects_wrong_dim(circuit_dd):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4).ell
     with pytest.raises(SimulationError, match="state dim"):
         ell_spmm(ell, np.zeros((8, 2), dtype=complex))
 
 
 def test_cost_helpers(circuit_dd):
-    ell = ell_from_dd_cpu(circuit_dd, 4)
+    ell = ell_from_dd(circuit_dd, 4).ell
     assert spmm_macs(ell, 10) == ell.num_rows * ell.width * 10
     assert spmm_bytes(ell, 10) > ell.nbytes

@@ -1,6 +1,7 @@
 """Tests for the observability layer: tracer, metrics, exporters, wiring."""
 
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,20 @@ def test_stage_timer_is_a_tracer_view():
     assert span.name == "fusion"
     assert span.attrs["category"] == "stage"
     assert span.attrs["gates"] == 5 and span.attrs["fused"] == 2
+
+
+def test_stage_timer_books_nested_stages_once():
+    tracer = Tracer()
+    timer = StageTimer(stages=CANONICAL_STAGES, tracer=tracer)
+    with timer.time("fusion"):
+        with timer.time("convert"):
+            time.sleep(0.02)
+    wall = timer.snapshot()
+    outer, inner = sorted(tracer.spans(), key=lambda s: s.start)
+    # the 20 ms nested sleep is booked once; 1 ms covers the span overhead
+    assert wall["convert"] >= 0.02
+    assert wall["fusion"] <= outer.duration - inner.duration + 1e-3
+    assert wall["fusion"] + wall["convert"] <= outer.duration + 1e-3
 
 
 # ---------------------------------------------------------------------------

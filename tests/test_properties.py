@@ -19,12 +19,14 @@ from repro.dd import (
     vector_dd_from_dense,
     vector_to_dense,
 )
-from repro.ell import ell_from_dd_cpu, ell_from_flat_gpu, ell_spmm
+from repro.ell import ell_from_dd, ell_spmm
 from repro.dd.flat import flatten_matrix_dd
 from repro.gpu.engine import Task, schedule
 from repro.sim.bqsim import buffer_indices
 from repro.sim.statevector import simulate_batch
 from repro.circuit.inputs import InputBatch
+
+from .ell_oracles import kernel_ell
 
 # -- strategies --------------------------------------------------------------
 
@@ -126,11 +128,11 @@ def test_ell_conversions_agree(m):
     if edge.weight == 0:
         return
     width = max_nzr(mgr, edge)
-    cpu = ell_from_dd_cpu(edge, 2)
-    gpu = ell_from_flat_gpu(flatten_matrix_dd(edge, 2), width, execute="faithful")
-    assert np.array_equal(cpu.cols, gpu.cols)
-    assert np.allclose(cpu.values, gpu.values, atol=1e-10)
-    assert np.allclose(cpu.to_dense(), matrix_to_dense(edge, 2), atol=1e-8)
+    ell = ell_from_dd(edge, 2, max_nzr=width).ell
+    kernel = kernel_ell(flatten_matrix_dd(edge, 2), width)
+    assert np.array_equal(ell.cols, kernel.cols)
+    assert np.allclose(ell.values, kernel.values, atol=1e-10)
+    assert np.allclose(ell.to_dense(), matrix_to_dense(edge, 2), atol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,7 +142,7 @@ def test_ell_spmm_matches_numpy(m, vec):
     edge = matrix_dd_from_dense(mgr, m)
     if edge.weight == 0:
         return
-    ell = ell_from_dd_cpu(edge, 2)
+    ell = ell_from_dd(edge, 2).ell
     states = (np.array(vec[:4]) + 1j * np.array(vec[4:])).reshape(4, 1)
     got = ell_spmm(ell, states)
     want = matrix_to_dense(edge, 2) @ states

@@ -8,6 +8,7 @@ from repro.circuit.generators import make_circuit, random_circuit
 from repro.sim import BQSimSimulator, BatchSpec, buffer_indices
 from repro.sim.statevector import simulate_batch
 from repro.errors import SimulationError
+from repro.obs import tracing
 
 
 @pytest.fixture
@@ -176,3 +177,19 @@ def test_snapshots_capture_every_fused_gate():
     # snapshots cost device time (extra D2H per kernel)
     plain = BQSimSimulator().run(circuit, spec)
     assert result.modeled_time > plain.modeled_time
+
+
+def test_fresh_build_books_conversion_under_convert():
+    """On a fresh execute build the conversion runs inside the compile lock
+    of the fusion stage, yet its wall time is booked under ``convert``."""
+    with tracing() as tracer:
+        result = BQSimSimulator().run(
+            make_circuit("supremacy", 8), BatchSpec(1, 4), execute=True
+        )
+    assert result.stats["plan_source"] == "built"
+    spans = tracer.spans()
+    converted = sum(s.duration for s in spans if s.name == "convert.dd_to_ell")
+    (fusion,) = [s for s in spans if s.name == "fusion"]
+    wall = result.stats["wall_breakdown"]
+    assert 0.005 < converted <= wall["convert"]
+    assert wall["fusion"] <= fusion.duration - converted + 1e-3
