@@ -31,7 +31,10 @@ def _eval_param(expr: str, line: int, bindings: Mapping[str, float] | None = Non
     """Evaluate a constant QASM parameter expression safely.
 
     ``bindings`` supplies values for the formal parameters of a custom gate
-    definition currently being expanded.
+    definition currently being expanded.  An expression that fails to
+    evaluate (``0/0``, ``exp(1000)``, ``sqrt(-1)``) or whose value is not a
+    finite real (``1e400``, ``(-1)**0.5``) is a :class:`QasmError` on its
+    line, never an arithmetic exception or a non-finite angle.
     """
     expr = expr.strip().replace("PI", "pi")
     try:
@@ -70,7 +73,13 @@ def _eval_param(expr: str, line: int, bindings: Mapping[str, float] | None = Non
                 return fns[node.func.id](walk(node.args[0]))
         raise QasmError(f"unsupported parameter expression {expr!r}", line)
 
-    return walk(tree)
+    try:
+        value = walk(tree)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise QasmError(f"cannot evaluate {expr!r}: {exc}", line) from None
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise QasmError(f"parameter {expr!r} is not a finite real number", line)
+    return value
 
 
 def _split_gate_call(stmt: str, line: int) -> tuple[str, str | None, str]:

@@ -6,10 +6,13 @@ choosing a (row bit, col bit) pair per level.  Control qubits contribute
 Kronecker-delta structure; once a control bit is 0 the remaining targets
 collapse to identity — exactly the semantics of Equation 3 in the paper.
 Below the gate's lowest qubit the recursion stops at the manager's cached
-identity chain, the node it would otherwise rebuild level by level.
+identity chain, the node it would otherwise rebuild level by level.  Each
+distinct gate is built once per manager (:func:`gate_key`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,12 +22,42 @@ from .manager import DDManager
 from .node import Edge, ZERO_EDGE
 
 
+def gate_key(gate: Gate) -> tuple | None:
+    """Memo key of a gate's DD: name, qubits, controls and the parameters'
+    exact bits (``float.hex`` keeps ``-0.0`` apart from ``0.0``, which a
+    float key would merge).  None when a parameter is not a finite float:
+    such a gate is built afresh each time, as a NaN weight never hash-conses
+    onto an earlier node."""
+    try:
+        bits = tuple(float.hex(p) for p in gate.params)
+    except TypeError:
+        return None
+    if not all(map(math.isfinite, gate.params)):
+        return None
+    return (gate.name, gate.qubits, gate.controls, bits)
+
+
 def gate_matrix_dd(mgr: DDManager, gate: Gate) -> Edge:
-    """Matrix DD of ``gate`` embedded in ``mgr.num_qubits`` qubits."""
+    """Matrix DD of ``gate`` embedded in ``mgr.num_qubits`` qubits.
+
+    Memoized per manager by :func:`gate_key`.  A rebuild would hash-cons to
+    the very same nodes (its weights are bit-identical and unique tables
+    never evict), so the memo returns exactly what the walk would.
+    """
+    key = gate_key(gate)
+    hit = mgr._cache_gate.get(key) if key is not None else None
+    if hit is None:
+        hit = _build_gate_dd(mgr, gate)
+        if key is not None:
+            mgr._cache_gate[key] = hit
+    return hit
+
+
+def _build_gate_dd(mgr: DDManager, gate: Gate) -> Edge:
     n = mgr.num_qubits
     if max(gate.all_qubits) >= n:
         raise DDError(f"gate {gate} does not fit in {n} qubits")
-    base = gate.matrix()
+    base = gate.matrix().tolist()  # Python complex entries, the same bits
     target_pos = {q: i for i, q in enumerate(gate.qubits)}
     controls = frozenset(gate.controls)
     lowest = min(gate.all_qubits)
@@ -38,7 +71,7 @@ def gate_matrix_dd(mgr: DDManager, gate: Gate) -> Edge:
             # multiplied in, so a negative zero survives as the full
             # recursion leaves it)
             entry = mgr.terminal(
-                base[grow, gcol] if ctrl_ok else float(grow == gcol)
+                base[grow][gcol] if ctrl_ok else float(grow == gcol)
             )
             if entry.weight == 0:
                 return entry

@@ -2,10 +2,15 @@
 operations the paper builds on (DDAdd, DDMultiply, DDConcatenate).
 
 All node construction goes through :meth:`DDManager.make_mnode` /
-:meth:`make_vnode`, which normalize child weights (dividing by the first
-non-zero child weight) and hash-cons through unique tables, so structurally
-equal sub-matrices share one node — the property that makes DD-based gate
-fusion and the NZRV algorithm cheap.
+:meth:`make_vnode`, which normalize child weights (dividing by the
+largest-magnitude child weight) and hash-cons through unique tables, so
+structurally equal sub-matrices share one node — the property that makes
+DD-based gate fusion and the NZRV algorithm cheap.
+
+Node construction and the algebra are pure Python and set the cost of a
+cold compile, so their hot paths are tuned without changing any result
+bit: for finite weights every edge, node id and node count equals that of
+the plain formulation kept in ``tests/dd_oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,12 @@ from .node import Edge, MNode, ONE_EDGE, VNode, WEIGHT_TOL, ZERO_EDGE, weight_ke
 
 _TOL = WEIGHT_TOL
 _ONE_LO, _ONE_HI = 1.0 - WEIGHT_TOL, 1.0 + WEIGHT_TOL
+_LEAD = 1.0 + WEIGHT_TOL  # a new normalizer must beat the old by this factor
+_ONE = 1.0 + 0j
+_ZERO_KEY = (0.0, 0.0)
+# _new_edge(Edge, (node, w)) is Edge(node, w) without the NamedTuple's
+# Python-level __new__, a measurable cost at hundreds of thousands of edges
+_new_edge = tuple.__new__
 
 
 def _snap(x: float) -> float:
@@ -36,12 +47,28 @@ def _snap(x: float) -> float:
 
 
 def _canon_weight(w: complex) -> complex:
-    """Snap weights within tolerance of 0 / +-1 / +-i to the exact value."""
-    r = _snap(w.real)
-    i = _snap(w.imag)
-    if r == w.real and i == w.imag:
+    """Snap weights within tolerance of 0 / +-1 / +-i to the exact value.
+
+    The chained comparisons accept the common case without a call: each
+    part is outside every snapping window or already exact (0 or +-1),
+    where snapping is the identity.  A part to snap, or NaN, takes the
+    general path.
+    """
+    r = w.real
+    i = w.imag
+    if (
+        _TOL <= r <= _ONE_LO or -_ONE_LO <= r <= -_TOL or r == 0.0
+        or r == 1.0 or r == -1.0 or r >= _ONE_HI or r <= -_ONE_HI
+    ) and (
+        _TOL <= i <= _ONE_LO or -_ONE_LO <= i <= -_TOL or i == 0.0
+        or i == 1.0 or i == -1.0 or i >= _ONE_HI or i <= -_ONE_HI
+    ):
         return w
-    return complex(r, i)
+    sr = _snap(r)
+    si = _snap(i)
+    if sr == r and si == i:
+        return w
+    return complex(sr, si)
 
 
 class DDManager:
@@ -62,7 +89,14 @@ class DDManager:
         self._cache_mv: dict[tuple, Edge] = {}
         self._cache_madd: dict[tuple, Edge] = {}
         self._cache_vadd: dict[tuple, Edge] = {}
-        self._identity_cache: dict[int, Edge] = {}
+        # the identity edge per level, None until identity() builds it; the
+        # multiply short-circuit checks operands against these nodes
+        self._identity_cache: list[Edge | None] = [None] * num_qubits
+        # hash-cons key part per canonical weight: the two tolerance-rounded
+        # floats, computed once per distinct weight value
+        self._weight_keys: dict[complex, tuple[float, float]] = {}
+        # gate DDs by gate_key (repro.dd.build.gate_matrix_dd)
+        self._cache_gate: dict[tuple, Edge] = {}
         # analysis caches keyed by node id (nodes are hash-consed and live as
         # long as the manager, so nid keys are stable)
         self._cache_nzrv: dict[int, Edge] = {}
@@ -73,61 +107,78 @@ class DDManager:
 
     def make_mnode(self, level: int, children: Sequence[Edge]) -> Edge:
         """Normalized, hash-consed matrix node; returns the entering edge."""
-        return self._make(level, tuple(children), self._unique_m, MNode)
+        return self._make(level, children, self._unique_m, MNode)
 
     def make_vnode(self, level: int, children: Sequence[Edge]) -> Edge:
         """Normalized, hash-consed vector node; returns the entering edge."""
-        return self._make(level, tuple(children), self._unique_v, VNode)
+        return self._make(level, children, self._unique_v, VNode)
 
     def _make(self, level, children, table, node_cls) -> Edge:
+        """Normalize ``children`` and hash-cons the node they define.
+
+        One pass canonicalizes every child weight and picks the
+        normalizing weight (the largest magnitude, first wins ties); a
+        second divides by it and builds the key: per child, its node and
+        the tolerance-rounded weight.  Child edges are allocated only when
+        the key misses and a new node is stored.
+        """
         if not 0 <= level < self.num_qubits:
             raise DDError(f"level {level} out of range for n={self.num_qubits}")
-        cleaned = []
+        nodes = []
+        weights = []
         norm = None
         norm_mag = 0.0
-        for child in children:
-            w = _canon_weight(child.weight)
+        below = level - 1
+        for node, w in children:
+            w = _canon_weight(w)
             if w == 0:
-                cleaned.append(ZERO_EDGE)
+                nodes.append(None)
+                weights.append(None)  # the zero edge
                 continue
-            if child.node is not None and child.node.level != level - 1:
-                raise DDError(
-                    f"child at level {child.node.level} under node at {level}"
-                )
-            cleaned.append(Edge(child.node, w))
+            if node is not None and node.level != below:
+                raise DDError(f"child at level {node.level} under node at {level}")
+            nodes.append(node)
+            weights.append(w)
             # normalize by the maximum-magnitude child (first wins ties) so
             # every stored weight has |w| <= 1 and the absolute weight
             # tolerance stays numerically safe
             mag = abs(w)
-            if mag > norm_mag * (1.0 + WEIGHT_TOL):
+            if mag > norm_mag * _LEAD:
                 norm, norm_mag = w, mag
         if norm is None:
             return ZERO_EDGE
-        normalized = []
-        key = [level]
-        for child in cleaned:
-            w = child.weight
-            if w != 0:
-                if w != norm:
-                    w = _canon_weight(w / norm)
-                else:
-                    w = 1.0 + 0j
-                child = Edge(child.node, w)
-            normalized.append(child)
-            key.append(id(child.node))
-            key.append(round(w.real, 10) + 0.0)
-            key.append(round(w.imag, 10) + 0.0)
-        key = tuple(key)
+        weights = [
+            w if w is None else _ONE if w == norm else _canon_weight(w / norm)
+            for w in weights
+        ]
+        keys = self._weight_keys
+        key = (level, *nodes, *[
+            _ZERO_KEY if w is None else keys.get(w) or self._weight_key(w)
+            for w in weights
+        ])
         node = table.get(key)
         if node is None:
-            node = node_cls(level, tuple(normalized), self._next_id)
+            node = node_cls(
+                level,
+                tuple([
+                    ZERO_EDGE if w is None else _new_edge(Edge, (child, w))
+                    for child, w in zip(nodes, weights)
+                ]),
+                self._next_id,
+            )
             self._next_id += 1
             table[key] = node
-        return Edge(node, norm)
+        return _new_edge(Edge, (node, norm))
+
+    def _weight_key(self, w: complex) -> tuple[float, float]:
+        """The hash-cons key part of weight ``w``, memoized: equal weights
+        round to equal keys (``+ 0.0`` merges the signed zeros)."""
+        part = self._weight_keys[w] = weight_key(w)
+        return part
 
     def terminal(self, weight: complex) -> Edge:
         w = _canon_weight(complex(weight))
-        return ZERO_EDGE if w == 0 else Edge(None, w)
+        return ZERO_EDGE if w == 0 else _new_edge(Edge, (None, w))
 
     @property
     def num_nodes(self) -> int:
@@ -155,71 +206,110 @@ class DDManager:
             raise DDError("identity level below terminal")
         if top == -1:
             return ONE_EDGE
-        if top not in self._identity_cache:
+        edge = self._identity_cache[top]
+        if edge is None:
             below = self.identity(top - 1)
-            self._identity_cache[top] = self.make_mnode(
-                top, (below, ZERO_EDGE, ZERO_EDGE, below)
-            )
-        return self._identity_cache[top]
+            edge = self.make_mnode(top, (below, ZERO_EDGE, ZERO_EDGE, below))
+            self._identity_cache[top] = edge
+        return edge
 
     # -- DDAdd ---------------------------------------------------------------
 
     def m_add(self, e1: Edge, e2: Edge) -> Edge:
         """Matrix DD addition."""
-        return self._add(e1, e2, self._cache_madd, self.make_mnode, self.m_add, 4)
+        if e1[1] == 0:
+            return e2
+        if e2[1] == 0:
+            return e1
+        return self._add(e1, e2, self._cache_madd, self.make_mnode)
 
     def v_add(self, e1: Edge, e2: Edge) -> Edge:
         """Vector DD addition (the paper's DDAdd on NZRVs)."""
-        return self._add(e1, e2, self._cache_vadd, self.make_vnode, self.v_add, 2)
-
-    def _add(self, e1, e2, cache, make, recurse, fanout) -> Edge:
-        if e1.weight == 0:
+        if e1[1] == 0:
             return e2
-        if e2.weight == 0:
+        if e2[1] == 0:
             return e1
-        if e1.node is None and e2.node is None:
-            return self.terminal(e1.weight + e2.weight)
-        if e1.node is None or e2.node is None or e1.node.level != e2.node.level:
+        return self._add(e1, e2, self._cache_vadd, self.make_vnode)
+
+    def _add(self, e1, e2, cache, make) -> Edge:
+        """Sum of two non-zero edges (a zero addend returns its partner
+        before getting here)."""
+        n1, w1 = e1
+        n2, w2 = e2
+        if n1 is None and n2 is None:
+            return self.terminal(w1 + w2)
+        if n1 is None or n2 is None or n1.level != n2.level:
             raise DDError("misaligned operands in DD addition")
         # factor the weights out so the cache key only involves one ratio
-        ratio = e2.weight / e1.weight
-        key = (e1.node.nid, e2.node.nid, weight_key(ratio))
+        ratio = w2 / w1
+        key = (n1.nid, n2.nid, self._weight_keys.get(ratio) or self._weight_key(ratio))
         hit = cache.get(key)
         if hit is None:
-            children = tuple(
-                recurse(c1, c2.scaled(ratio))
-                for c1, c2 in zip(e1.node.children, e2.node.children)
-            )
-            hit = make(e1.node.level, children)
+            children = []
+            for c1, c2 in zip(n1.children, n2.children):
+                c2 = _new_edge(Edge, (c2[0], c2[1] * ratio)) if ratio != 0 else ZERO_EDGE
+                if c1[1] == 0:
+                    children.append(c2)
+                elif c2[1] == 0:
+                    children.append(c1)
+                else:
+                    children.append(self._add(c1, c2, cache, make))
+            hit = make(n1.level, children)
             cache[key] = hit
-        return hit.scaled(e1.weight)
+        return _new_edge(Edge, (hit[0], hit[1] * w1))
 
     # -- DDMultiply ----------------------------------------------------------
 
     def mm_multiply(self, e1: Edge, e2: Edge) -> Edge:
-        """Matrix-matrix DD multiplication (``e1 @ e2``)."""
-        if e1.weight == 0 or e2.weight == 0:
+        """Matrix-matrix DD multiplication (``e1 @ e2``).
+
+        An operand on the identity node this manager built for that level
+        returns the other operand's node at once: the full recursion would
+        rebuild that very node (every sub-product hash-conses to the
+        operand's own children) with normalizing weight ``1+0j``, and the
+        weight returned here is the same ``(1+0j) * (w1 * w2)`` product,
+        so the result is bit-identical without the walk or a compute-table
+        entry.
+        """
+        n1, w1 = e1
+        n2, w2 = e2
+        if w1 == 0 or w2 == 0:
             return ZERO_EDGE
-        if e1.node is None and e2.node is None:
-            return self.terminal(e1.weight * e2.weight)
-        if e1.node is None or e2.node is None or e1.node.level != e2.node.level:
+        if n1 is None and n2 is None:
+            return self.terminal(w1 * w2)
+        if n1 is None or n2 is None or n1.level != n2.level:
             raise DDError("misaligned operands in matrix multiplication")
-        key = (e1.node.nid, e2.node.nid)
+        identity = self._identity_cache[n1.level]
+        eye = None if identity is None else identity[0]
+        if n2 is eye or n1 is eye:
+            w = w1 * w2
+            if w == 0:
+                return ZERO_EDGE
+            return _new_edge(Edge, (n1 if n2 is eye else n2, _ONE * w))
+        key = (n1.nid, n2.nid)
         hit = self._cache_mm.get(key)
         if hit is None:
-            a, b = e1.node.children, e2.node.children
+            a, b = n1.children, n2.children
+            nonzero_a = [c[1] != 0 for c in a]
+            nonzero_b = [c[1] != 0 for c in b]
+            mul = self.mm_multiply
+            add = self.m_add
             children = []
-            for i in (0, 1):
+            for i in (0, 2):
                 for j in (0, 1):
-                    children.append(
-                        self.m_add(
-                            self.mm_multiply(a[i * 2 + 0], b[0 * 2 + j]),
-                            self.mm_multiply(a[i * 2 + 1], b[1 * 2 + j]),
-                        )
-                    )
-            hit = self.make_mnode(e1.node.level, children)
+                    # a zero factor makes the zero edge, as mul() would
+                    children.append(add(
+                        mul(a[i], b[j])
+                        if nonzero_a[i] and nonzero_b[j] else ZERO_EDGE,
+                        mul(a[i + 1], b[j + 2])
+                        if nonzero_a[i + 1] and nonzero_b[j + 2] else ZERO_EDGE,
+                    ))
+            hit = self._make(n1.level, children, self._unique_m, MNode)
             self._cache_mm[key] = hit
-        return hit.scaled(e1.weight * e2.weight)
+        w = w1 * w2
+        if w == 0:
+            return ZERO_EDGE
+        return _new_edge(Edge, (hit[0], hit[1] * w))
 
     def mv_multiply(self, m: Edge, v: Edge) -> Edge:
         """Matrix-vector DD multiplication (``m @ v``)."""

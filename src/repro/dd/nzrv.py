@@ -29,22 +29,23 @@ def nzr_vector(mgr: DDManager, matrix: Edge) -> Edge:
     their shared sub-matrices hit this cache.
     """
     cache = mgr._cache_nzrv
+    one = mgr.terminal(1.0)
+    add = mgr.v_add
 
-    def rec(e: Edge) -> Edge:
-        if e.weight == 0:
-            return ZERO_EDGE
-        if e.node is None:
-            return mgr.terminal(1.0)
-        hit = cache.get(e.node.nid)
+    def rec(node: MNode) -> Edge:
+        hit = cache.get(node.nid)
         if hit is None:
-            c = e.node.children
-            top = mgr.v_add(rec(c[0]), rec(c[1]))
-            bottom = mgr.v_add(rec(c[2]), rec(c[3]))
-            hit = mgr.v_concatenate(top, bottom, e.node.level)
-            cache[e.node.nid] = hit
+            t = [
+                ZERO_EDGE if w == 0 else one if child is None else rec(child)
+                for child, w in node.children
+            ]
+            hit = mgr.v_concatenate(add(t[0], t[1]), add(t[2], t[3]), node.level)
+            cache[node.nid] = hit
         return hit
 
-    return rec(matrix)
+    if matrix.weight == 0:
+        return ZERO_EDGE
+    return one if matrix.node is None else rec(matrix.node)
 
 
 def vector_max(edge: Edge, mgr: DDManager | None = None) -> float:

@@ -101,6 +101,7 @@ class ConversionResult:
     route: str  # "cpu" or "gpu"
     num_edges: int
     tau: int
+    num_nodes: int  # nodes of the flat DD the matrix was built from
 
 
 def ell_from_dd(
@@ -127,7 +128,9 @@ def ell_from_dd(
         ell = ell_from_flat(flat, max_nzr)
         span.set(dd_edges=edges, route=route, ell_width=ell.width)
     _record_conversion(ell, edges, route)
-    return ConversionResult(ell=ell, route=route, num_edges=edges, tau=tau)
+    return ConversionResult(
+        ell=ell, route=route, num_edges=edges, tau=tau, num_nodes=flat.num_nodes
+    )
 
 
 def _record_conversion(ell: ELLMatrix, edges: int, route: str) -> None:

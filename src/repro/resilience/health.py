@@ -17,7 +17,7 @@ possible" (Hillmich et al.):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,18 @@ class HealthPolicy:
             raise SimulationError(
                 f"unknown health mode {self.mode!r}; expected one of {HEALTH_MODES}"
             )
+
+    def for_fidelity(self, achieved: float) -> "HealthPolicy":
+        """This policy for a run whose plan achieved fidelity ``achieved``.
+
+        A fidelity-budgeted plan prunes branches, so its outputs may drift
+        from unit norm by up to ``1 - achieved``; that drift is licensed,
+        not a fault.  The norm tolerance widens to
+        ``max(norm_tol, 1 - achieved)``; an exact plan (1.0) keeps it.
+        The non-finite check and the mode are unchanged.
+        """
+        tol = max(self.norm_tol, 1.0 - achieved)
+        return self if tol == self.norm_tol else replace(self, norm_tol=tol)
 
     @classmethod
     def coerce(cls, value: "HealthPolicy | str | None") -> "HealthPolicy":

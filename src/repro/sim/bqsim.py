@@ -23,7 +23,7 @@ from ..approx import FidelityLedger, prune_plan
 from ..circuit import Circuit, InputBatch
 from ..dd.export import count_edges, count_nodes
 from ..dd.manager import DDManager
-from ..ell.convert import DEFAULT_TAU, ell_from_dd
+from ..ell.convert import DEFAULT_TAU, ConversionResult, ell_from_dd
 from ..ell.format import ELLMatrix
 from ..ell.persist import CompiledPlan, load_compiled_plan, save_compiled_plan
 from ..ell.spmm import default_backend, ell_spmm
@@ -200,20 +200,31 @@ class BQSimSimulator(BatchSimulator):
         """
         return self._plans.key(circuit, self._cache_extra())
 
-    def _build(self, circuit: Circuit) -> dict:
+    def _build(self, circuit: Circuit, timer: StageTimer, execute: bool) -> dict:
         """Stages 1 and 2 from scratch: fusion + conversion analysis.
 
         With a fidelity budget below 1.0, the fused plan is pruned under
         the budget *before* the conversion analysis, so routes, widths, and
-        modeled times all reflect the smaller approximate DDs."""
+        modeled times all reflect the smaller approximate DDs.
+
+        An ``execute`` build converts every fused gate here, booking the
+        time to ``timer``'s ``convert`` stage, and takes each gate's node
+        and edge counts from the one flat DD its conversion walked; a
+        model-only build counts them on the DD."""
         mgr = DDManager(circuit.num_qubits)
         plan = self.plan_circuit(mgr, circuit)
         plan, ledger = prune_plan(mgr, plan, self.fidelity)
-        fused_nodes = sum(count_nodes(g.dd) for g in plan.gates)
+        ells = None
+        if execute:
+            with timer.time("convert"):
+                results = self._convert(plan)
+            ells = [r.ell for r in results]
+            sizes = [(r.num_nodes, r.num_edges) for r in results]
+        else:
+            sizes = [(count_nodes(g.dd), count_edges(g.dd)) for g in plan.gates]
         rows = 1 << plan.num_qubits
         infos: list[dict] = []
-        for fused in plan.gates:
-            edges = count_edges(fused.dd)
+        for fused, (_, edges) in zip(plan.gates, sizes):
             route = "cpu" if edges > self.tau else "gpu"
             if route == "gpu":
                 t = self.gpu.conversion_time(rows, fused.cost, edges)
@@ -227,9 +238,9 @@ class BQSimSimulator(BatchSimulator):
         return {
             "mgr": mgr,
             "plan": plan,
-            "fused_nodes": fused_nodes,
+            "fused_nodes": sum(nodes for nodes, _ in sizes),
             "conv_infos": infos,
-            "ells": None,
+            "ells": ells,
             "approx": ledger.to_dict(),
         }
 
@@ -249,8 +260,8 @@ class BQSimSimulator(BatchSimulator):
         disk is re-checked (another worker process may have compiled the
         same fingerprint while this one waited), so a fleet of pool
         workers sharing one ``cache_dir`` compiles each plan exactly once.
-        A fresh build with ``execute=True`` also converts under the lock,
-        booking that time to ``timer``'s ``convert`` stage.
+        A fresh build with ``execute=True`` also converts under the lock
+        (see :meth:`_build`).
         """
         key = self._plans.key(circuit, self._cache_extra())
 
@@ -277,18 +288,14 @@ class BQSimSimulator(BatchSimulator):
                 if prepared is not None:
                     source = "disk"
                 else:
-                    prepared = self._build(circuit)
+                    # an execute build materializes the matrices before
+                    # the (locked) save: the archive a racer loads must be
+                    # fully executable, or it would reject the entry and
+                    # compile the same fingerprint a second time
+                    prepared = self._build(circuit, timer, execute)
                     source = "built"
                     prepared["key"] = key
                     prepared["circuit_name"] = circuit.name
-                    if execute:
-                        # materialize the matrices before the (locked)
-                        # save: the archive a racer loads must be fully
-                        # executable, or it would reject the entry and
-                        # compile the same fingerprint a second time.
-                        # The time is the convert stage's, not fusion's.
-                        with timer.time("convert"):
-                            prepared["ells"] = self._convert_ells(prepared)
                     self._save_compiled(prepared)
         self._plans.note_lookup(source)
         prepared["key"] = key
@@ -296,19 +303,18 @@ class BQSimSimulator(BatchSimulator):
         self._plans.put(key, prepared)
         return prepared, source
 
-    def _convert_ells(self, prepared: dict) -> list[ELLMatrix]:
+    def _convert(self, plan: FusionPlan) -> list[ConversionResult]:
         """Stage-2 numerics: one ELL matrix per fused gate (no caching)."""
-        plan: FusionPlan = prepared["plan"]
         return [
             ell_from_dd(
                 fused.dd, plan.num_qubits, max_nzr=fused.cost, tau=self.tau
-            ).ell
+            )
             for fused in plan.gates
         ]
 
     def _materialize_ells(self, prepared: dict) -> list[ELLMatrix]:
         if prepared["ells"] is None:
-            prepared["ells"] = self._convert_ells(prepared)
+            prepared["ells"] = [r.ell for r in self._convert(prepared["plan"])]
             # upgrade the disk entry: metadata-only archives become fully
             # executable once the matrices exist (locked: pool workers may
             # race to upgrade the same fingerprint)
@@ -503,10 +509,11 @@ class BQSimSimulator(BatchSimulator):
                     else None
                 )
                 done: dict[int, np.ndarray] = {}
+                health = self.health.for_fidelity(prepared["approx"]["achieved"])
 
                 def on_batch(ib: int, states: np.ndarray) -> np.ndarray:
                     states = check_state_block(
-                        states, self.health, label=f"{circuit.name} batch {ib}"
+                        states, health, label=f"{circuit.name} batch {ib}"
                     )
                     done[ib] = states
                     if ckpt is not None:

@@ -129,6 +129,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             #: one fallback ladder shared by every device: a backend broken
             #: on one shard is broken on all of them
             ladder = BackendLadder() if execute else None
+            health = self.health.for_fidelity(prepared["approx"]["achieved"])
             total_retries = 0
             with timer.time("execute"):
                 for device_index, shard in enumerate(shards):
@@ -154,7 +155,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
 
                         def on_batch(ib, states, device_index=device_index):
                             return check_state_block(
-                                states, self.health,
+                                states, health,
                                 label=f"{circuit.name} dev{device_index} "
                                       f"batch {ib}",
                             )

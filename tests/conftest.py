@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.circuit import Circuit, random_batch
 from repro.circuit.generators import random_circuit
 from repro.dd import DDManager
+
+# Hypothesis profiles.  Tests that pin ``max_examples`` keep it; the oracle
+# property tests (DD core against tests/dd_oracles.py, ELL assembler against
+# tests/ell_oracles.py) leave it to the profile, so CI can run them longer
+# with HYPOTHESIS_PROFILE=ci.
+settings.register_profile("dev", max_examples=25, deadline=None)
+settings.register_profile("ci", max_examples=250, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from repro.dd import (
     DDManager,
     circuit_matrix_dd,
     count_edges,
+    count_nodes,
     flatten_matrix_dd,
     gate_matrix_dd,
     matrix_to_dense,
@@ -136,6 +137,7 @@ def test_heavy_dd_takes_the_cpu_route_with_padding():
     result = ell_from_dd(edge, n, max_nzr=3)
     assert result.route == "cpu" and result.num_edges > DEFAULT_TAU
     assert result.num_edges == count_edges(edge)
+    assert result.num_nodes == count_nodes(edge)
     ell = result.ell
     assert ell.width == 3
     assert np.array_equal(ell.cols[:, 0], np.arange(1 << n))

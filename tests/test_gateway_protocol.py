@@ -160,6 +160,18 @@ class TestCircuitCodec:
         assert err.value.code == "BAD_QASM"
         assert err.value.extra.get("line") == 3
 
+    @pytest.mark.parametrize(
+        "expr", ["0/0", "1e400", "sqrt(-1)", "exp(1000)", "(-1)**0.5"]
+    )
+    def test_unevaluable_parameter_is_bad_qasm(self, expr):
+        """A parameter that raises or is not a finite real is a typed
+        BAD_QASM on its line, never INTERNAL and never an infinite angle."""
+        qasm = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({expr}) q[0];\n'
+        with pytest.raises(ProtocolError) as err:
+            circuit_from_wire({"qasm": qasm})
+        assert err.value.code == "BAD_QASM"
+        assert err.value.extra.get("line") == 4
+
     def test_truncated_qasm(self):
         with pytest.raises(ProtocolError) as err:
             circuit_from_wire({"qasm": "OPENQASM 2.0"})

@@ -204,6 +204,15 @@ class TestTypedWireErrors:
         assert err.value.code == "BAD_QASM"
         assert err.value.extra.get("line") == 3
 
+    @pytest.mark.parametrize("expr", ["0/0", "1e400", "sqrt(-1)"])
+    def test_unevaluable_parameter_is_bad_qasm(self, client, expr):
+        with pytest.raises(ProtocolError) as err:
+            client.submit(
+                qasm=f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n"
+            )
+        assert err.value.code == "BAD_QASM"
+        assert err.value.extra.get("line") == 3
+
     def test_oversized_circuit_is_typed(self, client):
         with pytest.raises(ProtocolError) as err:
             client.submit(family="ghz", num_qubits=30)

@@ -120,7 +120,7 @@ def test_nzrv_matches_dense_row_counts(m):
 
 # -- ELL properties ------------------------------------------------------------
 
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)  # example count from the profile (conftest.py)
 @given(complex_matrices(2))
 def test_ell_conversions_agree(m):
     mgr = DDManager(2)

@@ -478,3 +478,50 @@ def test_health_off_and_none_do_nothing():
     assert HealthPolicy.coerce("fail").mode == "fail"
     with pytest.raises(SimulationError, match="unknown health mode"):
         HealthPolicy(mode="loud")
+
+
+def test_budgeted_run_emits_no_drift_warning():
+    """A plan pruned under a fidelity budget drifts from unit norm by what
+    the budget licenses; the guard's tolerance follows the achieved
+    fidelity, so the run is quiet."""
+    import warnings
+
+    from repro.circuit.generators import make_circuit
+    from repro.circuit.inputs import random_batch
+
+    circuit = make_circuit("supremacy", 7, seed=0)
+    batch = random_batch(7, 8, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = BQSimSimulator(fidelity=0.99).run(
+            circuit, BatchSpec(1, 8), batches=[batch]
+        )
+    achieved = result.stats["approx"]["achieved"]
+    drift = np.max(np.abs(np.linalg.norm(result.outputs[0], axis=0) - 1.0))
+    assert achieved < 1.0
+    # the drift the fixed 1e-6 tolerance used to flag
+    assert HealthPolicy().norm_tol < drift <= 1.0 - achieved
+
+
+def test_drift_beyond_the_derived_tolerance_still_warns():
+    policy = HealthPolicy(mode="warn").for_fidelity(0.999)
+    assert policy.norm_tol == pytest.approx(1e-3)
+    assert policy.mode == "warn"
+    with pytest.warns(RuntimeWarning, match="norm drift 5.000e-01"):
+        check_state_block(_drifting_states(), policy, label="b0")
+    strict = HealthPolicy(mode="fail").for_fidelity(0.9)
+    with pytest.raises(NumericalError, match="norm drift"):
+        check_state_block(_drifting_states(), strict)
+    bad = np.eye(4, 2, dtype=np.complex128)
+    bad[2, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        check_state_block(bad, strict)
+
+
+def test_exact_budget_keeps_the_fixed_tolerance():
+    policy = HealthPolicy(mode="warn")
+    assert policy.for_fidelity(1.0) is policy
+    slight = np.eye(4, 2, dtype=np.complex128)
+    slight[0, 0] = 1.0 + 1e-5  # beyond 1e-6: an exact run must still warn
+    with pytest.warns(RuntimeWarning, match="tolerance 1.0e-06"):
+        check_state_block(slight, policy.for_fidelity(1.0), label="b0")

@@ -193,3 +193,37 @@ def test_fresh_build_books_conversion_under_convert():
     wall = result.stats["wall_breakdown"]
     assert 0.005 < converted <= wall["convert"]
     assert wall["fusion"] <= fusion.duration - converted + 1e-3
+
+
+@pytest.mark.parametrize("family,n", [("qnn", 5), ("supremacy", 6), ("qft", 6)])
+def test_execute_build_walks_each_fused_dd_once(family, n, monkeypatch):
+    """An execute build takes each fused gate's node and edge counts from
+    the flat DD its conversion builds: one flatten per gate, no separate
+    count walk, and the same routes, widths and modeled times as a
+    model-only build, which counts on the DD."""
+    import repro.ell.convert as convert
+    import repro.sim.bqsim as bqsim
+
+    circuit = make_circuit(family, n, seed=0)
+    spec = BatchSpec(1, 4)
+    model_only = BQSimSimulator().run(circuit, spec, execute=False)
+
+    flattened = []
+    real_flatten = convert.flatten_matrix_dd
+
+    def counting_flatten(edge, num_qubits):
+        flattened.append(edge)
+        return real_flatten(edge, num_qubits)
+
+    def no_walk(edge):
+        raise AssertionError("an execute build walked a fused DD twice")
+
+    monkeypatch.setattr(convert, "flatten_matrix_dd", counting_flatten)
+    monkeypatch.setattr(bqsim, "count_edges", no_walk)
+    monkeypatch.setattr(bqsim, "count_nodes", no_walk)
+    executed = BQSimSimulator().run(circuit, spec)
+
+    assert len(flattened) == executed.stats["fused_gates"]
+    for key in ("conversion_routes", "fused_gates", "total_cost", "macs"):
+        assert executed.stats[key] == model_only.stats[key]
+    assert executed.breakdown == model_only.breakdown
